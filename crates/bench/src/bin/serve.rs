@@ -58,7 +58,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn mode_of(i: usize) -> WireMode {
-    if i % 2 == 0 {
+    if i.is_multiple_of(2) {
         WireMode::Ndjson
     } else {
         WireMode::Binary
@@ -301,16 +301,17 @@ fn chaos_run(seed: u64) -> &'static str {
     }
 
     let mut got: Vec<Released> = (0..CHAOS_TENANTS).map(|_| Released::default()).collect();
-    for b in 0..4 {
-        for i in 0..CHAOS_TENANTS {
-            let Some(client) = clients[i].as_mut() else {
+    let mut feeds: Vec<_> = batches.iter().map(|tenant| tenant.iter()).collect();
+    for _ in 0..4 {
+        for (i, (slot, feed)) in clients.iter_mut().zip(&mut feeds).enumerate() {
+            let (Some(client), Some(batch)) = (slot.as_mut(), feed.next()) else {
                 continue;
             };
-            match client.send(batches[i][b].clone()) {
+            match client.send(batch.clone()) {
                 Ok(part) => merge(&mut got[i], part),
                 Err(ServeError::Stream(_) | ServeError::TenantFailed { .. }) if i == faulted => {
                     surfaced = true;
-                    clients[i] = None;
+                    *slot = None;
                 }
                 Err(e) => panic!("seed {seed:#x}: healthy tenant {i} failed: {e}"),
             }

@@ -162,10 +162,14 @@ fn run_canonical(
     };
     // The sampled pipeline runs durable so every exhibit's snapshot also
     // carries the checkpoint.* / recovery.* counters snapshot_check
-    // demands. Checkpoints land in a scratch directory per process.
+    // demands. Checkpoints land in a scratch directory per call: two
+    // concurrent runs over one dataset (parallel tests) must not remove
+    // each other's checkpoints.
+    static RUNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let ckpt_dir = std::env::temp_dir().join(format!(
-        "impatience-bench-ckpt-{}-{}",
+        "impatience-bench-ckpt-{}-{}-{}",
         std::process::id(),
+        RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         ds.name.replace(|c: char| !c.is_ascii_alphanumeric(), "-"),
     ));
     let _ = std::fs::remove_dir_all(&ckpt_dir);

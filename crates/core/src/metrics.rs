@@ -134,6 +134,35 @@ impl Default for HistogramInner {
     }
 }
 
+impl HistogramInner {
+    fn record(&mut self, v: u64) {
+        self.buckets[Histogram::bucket_index(v)] += 1;
+        if self.count == 0 || v < self.min {
+            self.min = v;
+        }
+        if v > self.max {
+            self.max = v;
+        }
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+    }
+
+    /// Adds a non-empty `other`'s samples. Saturating addition of
+    /// unsigned values is associative, so the merged sum equals the
+    /// per-sample one.
+    fn merge(&mut self, other: &HistogramInner) {
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+        if self.count == 0 || other.min < self.min {
+            self.min = other.min;
+        }
+        self.max = self.max.max(other.max);
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+    }
+}
+
 /// A fixed-bucket log2 histogram of `u64` samples. Clones share storage;
 /// handles are `Send + Sync` (a short mutex guards each sample).
 ///
@@ -175,16 +204,22 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let mut inner = lock(&self.inner);
-        inner.buckets[Self::bucket_index(v)] += 1;
-        if inner.count == 0 || v < inner.min {
-            inner.min = v;
+        lock(&self.inner).record(v);
+    }
+
+    /// Records every sample of `samples`, exactly as one [`record`] per
+    /// sample would, but takes the lock once: the samples fold into a
+    /// local bucket array that is merged in at the end.
+    ///
+    /// [`record`]: Histogram::record
+    pub fn record_all(&self, samples: impl IntoIterator<Item = u64>) {
+        let mut local = HistogramInner::default();
+        for v in samples {
+            local.record(v);
         }
-        if v > inner.max {
-            inner.max = v;
+        if local.count > 0 {
+            lock(&self.inner).merge(&local);
         }
-        inner.count += 1;
-        inner.sum = inner.sum.saturating_add(v);
     }
 
     /// Number of recorded samples.
@@ -622,6 +657,36 @@ mod tests {
         assert_eq!(buckets[3], 1); // 4
         assert_eq!(buckets[HISTOGRAM_BUCKETS - 1], 2); // overflow
         assert_eq!(buckets.iter().sum::<u64>(), h.count());
+    }
+
+    #[test]
+    fn record_all_matches_per_sample_record() {
+        let stats = |h: &Histogram| (h.count(), h.sum(), h.min(), h.max(), h.bucket_counts());
+        let batches: [&[u64]; 4] = [
+            &[],
+            &[7, 0, 3, 1 << 40, 2],
+            &[u64::MAX - 1, 5, u64::MAX - 1], // the sum saturates
+            &[9],
+        ];
+        let (one_by_one, all_at_once) = (Histogram::new(), Histogram::new());
+        for batch in batches {
+            for &v in batch {
+                one_by_one.record(v);
+            }
+            all_at_once.record_all(batch.iter().copied());
+            assert_eq!(stats(&all_at_once), stats(&one_by_one), "after {batch:?}");
+        }
+        assert_eq!(all_at_once.sum(), u64::MAX);
+
+        // Empty input leaves an empty histogram untouched (min stays 0).
+        let empty = Histogram::new();
+        empty.record_all(std::iter::empty());
+        assert_eq!(stats(&empty), stats(&Histogram::new()));
+        // A first merged batch sets min even though it exceeds the
+        // empty histogram's zero min.
+        let h = Histogram::new();
+        h.record_all([12, 30]);
+        assert_eq!((h.min(), h.max(), h.count()), (12, 30, 2));
     }
 
     #[test]

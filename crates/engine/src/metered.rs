@@ -94,10 +94,12 @@ impl<P: Payload, S: Observer<P>> Observer<P> for MeteredObserver<P, S> {
         self.metrics.batches_in.inc();
         self.metrics.events_in.add(batch.visible_len() as u64);
         if let Some(wm) = self.last_punctuation {
-            for e in batch.iter_visible() {
-                let lag = e.sync_time.ticks().saturating_sub(wm.ticks()).max(0);
-                self.metrics.watermark_lag.record(lag as u64);
-            }
+            let wm = wm.ticks();
+            self.metrics.watermark_lag.record_all(
+                batch
+                    .iter_visible()
+                    .map(|e| e.sync_time.ticks().saturating_sub(wm).max(0) as u64),
+            );
         }
         let start = Instant::now();
         self.inner.on_batch(batch);

@@ -25,13 +25,30 @@
 //! rung only fires when the previous one could not get back under budget.
 //! Disk faults surface through [`OnlineSorter::take_fault`] and poison the
 //! chain with a typed error instead of aborting.
+//!
+//! **Windowed sorting** (used when a spec lowers `tumbling_window →
+//! sum_by_key` into the sort) applies §IV's sort-as-needed rule inside the
+//! operator: each accepted event is aligned to its tumbling window *before*
+//! it enters the sorter, so the sorter sees the collapsed, less disordered
+//! timestamps of Fig 9(c). Lateness is still judged on the raw `sync_time`
+//! against the raw watermark `W`, so late counting and dead-lettering match
+//! an unwindowed sort exactly. Downstream is told [`window_punctuation`] of
+//! `W`, the value a [`TumblingWindowOp`](crate::ops::TumblingWindowOp)
+//! after the sort would forward; the sorter itself is punctuated one tick
+//! later, at the open window's start, so the open window's events leave
+//! with the closed ones. An accepted event that aligns to the open window
+//! is already in order after the forwarded punctuation and goes straight
+//! downstream. The sorter therefore buffers a subset of what an
+//! unwindowed sort would, and shed or spilled events carry aligned times.
 
+use super::window::{align_tumbling, window_punctuation};
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
 use impatience_core::metrics::{Counter, MetricsRegistry};
 use impatience_core::{
     DeadLetterQueue, DeadLetterReason, Event, EventBatch, LatePolicy, MemoryMeter, Payload,
-    ShedPolicy, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError, Timestamp,
+    ShedPolicy, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError,
+    TickDuration, Timestamp,
 };
 use impatience_sort::{OnlineSorter, SorterGauges};
 
@@ -96,7 +113,8 @@ pub struct SortFaultCounters {
     /// Events evicted by [`ShedPolicy::ShedOldestRuns`].
     pub shed_events: Counter,
     /// Early flushes forced by [`ShedPolicy::ForcePunctuation`] (or by the
-    /// shed fallback when no run could be evicted).
+    /// shed fallback when no run could be evicted). Only cuts that release
+    /// buffered events count.
     pub forced_punctuations: Counter,
 }
 
@@ -122,9 +140,13 @@ pub struct SortOp<P: Payload, S> {
     sorter: Box<dyn OnlineSorter<Event<P>>>,
     meter: MemoryMeter,
     charged: usize,
+    /// Tumbling-window size events are aligned to before sorting (see the
+    /// module docs), or `None` for a plain sort.
+    window: Option<TickDuration>,
+    /// The raw (unaligned) watermark: events at or below it are late.
     watermark: Timestamp,
-    /// Highest `sync_time` ever accepted into the sorter — the finite cut a
-    /// forced punctuation flushes at.
+    /// Highest raw `sync_time` ever accepted into the sorter — the finite
+    /// cut a forced punctuation flushes at.
     high: Timestamp,
     /// True once a forced cut has advanced the watermark past the
     /// upstream's punctuations. Part of the checkpointed state: after a
@@ -161,6 +183,7 @@ impl<P: Payload, S> SortOp<P, S> {
             sorter,
             meter,
             charged: 0,
+            window: None,
             watermark: Timestamp::MIN,
             high: Timestamp::MIN,
             watermark_forced: false,
@@ -170,6 +193,20 @@ impl<P: Payload, S> SortOp<P, S> {
             gauges: None,
             next,
         }
+    }
+
+    /// Aligns every accepted event to tumbling windows of `size` ticks
+    /// before it enters the sorter, and punctuates at window granularity
+    /// (see the module docs). Compared with this sort followed by a
+    /// [`TumblingWindowOp`](crate::ops::TumblingWindowOp), events sharing
+    /// a window start may come out in another order and in other batches,
+    /// and open-window events may leave before a punctuation closes their
+    /// window; a per-window reduction that ignores event order, such as a
+    /// keyed sum, sees no difference.
+    pub(crate) fn with_window(mut self, size: TickDuration) -> Self {
+        assert!(size.is_positive(), "window size must be positive");
+        self.window = Some(size);
+        self
     }
 
     /// Publishes sorter state into `gauges` at punctuation boundaries: the
@@ -207,6 +244,25 @@ impl<P: Payload, S> SortOp<P, S> {
     /// Early flushes forced by memory pressure.
     pub fn forced_punctuations(&self) -> u64 {
         self.faults.forced_punctuations.get()
+    }
+
+    /// What is forwarded downstream for raw watermark `t`.
+    fn release_point(&self, t: Timestamp) -> Timestamp {
+        match self.window {
+            Some(size) => window_punctuation(t, size, TickDuration::ZERO),
+            None => t,
+        }
+    }
+
+    /// Where the sorter is punctuated for raw watermark `t`: `t` itself,
+    /// or for a windowed sort the open window's start, one tick past
+    /// [`release_point`](Self::release_point). Every later accepted event
+    /// aligns to this point or above it.
+    fn sorter_point(&self, t: Timestamp) -> Timestamp {
+        match self.window {
+            Some(size) if t != Timestamp::MIN && t != Timestamp::MAX => t.align_down(size),
+            _ => t,
+        }
     }
 
     fn sync_meter(&mut self) {
@@ -316,23 +372,30 @@ impl<P: Payload, S: Observer<P>> SortOp<P, S> {
     /// Flushes everything buffered by punctuating at the highest accepted
     /// sync_time (a finite cut — the sorter stays usable) and advances the
     /// watermark to it. The effective reorder latency degrades — events at
-    /// or below this cut become late and fall under the late policy.
+    /// or below this cut become late and fall under the late policy. A
+    /// windowed sort buffers only events at or below that cut's window, so
+    /// it is emptied too. An empty sorter is left alone: the meter may be
+    /// over budget on other consumers' account, and a cut would only
+    /// degrade the latency.
     fn forced_cut(&mut self) {
+        if self.sorter.buffered_len() == 0 {
+            return;
+        }
         let cut = self.high.max(self.watermark);
+        self.watermark = cut;
+        self.watermark_forced = true;
         let mut out = Vec::new();
-        self.sorter.punctuate(cut, &mut out);
+        self.sorter.punctuate(self.sorter_point(cut), &mut out);
         if self.poll_fault() {
             return;
         }
         self.sync_meter();
         self.sync_gauges();
+        self.faults.forced_punctuations.inc();
         if !out.is_empty() {
-            self.faults.forced_punctuations.inc();
-            self.watermark = cut;
-            self.watermark_forced = true;
             self.next.on_batch(EventBatch::from_events(out));
-            self.next.on_punctuation(cut);
         }
+        self.next.on_punctuation(self.release_point(cut));
     }
 
     /// Brings the sorter back under its memory budget, if one is set and
@@ -376,11 +439,20 @@ impl<P: Payload, S: Observer<P>> SortOp<P, S> {
 }
 
 impl<P: Payload, S: Send> Checkpointable for SortOp<P, S> {
+    /// A windowed sort buffers aligned events, so it checkpoints under its
+    /// own id: restoring a plain sort's snapshot into it (or the reverse)
+    /// fails typed instead of releasing unaligned events.
     fn state_id(&self) -> &'static str {
-        "engine.sort"
+        match self.window {
+            Some(_) => "engine.sort.windowed",
+            None => "engine.sort",
+        }
     }
 
     fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        if let Some(size) = self.window {
+            w.put_i64(size.as_ticks());
+        }
         self.watermark.encode(w);
         self.high.encode(w);
         w.put_u8(self.watermark_forced as u8);
@@ -391,6 +463,15 @@ impl<P: Payload, S: Send> Checkpointable for SortOp<P, S> {
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        if let Some(size) = self.window {
+            let saved = r.get_i64()?;
+            if saved != size.as_ticks() {
+                return Err(SnapshotError::corrupt(format!(
+                    "checkpoint aligned the sort to {saved}-tick windows, the pipeline to {}",
+                    size.as_ticks()
+                )));
+            }
+        }
         let watermark = Timestamp::decode(r)?;
         let high = Timestamp::decode(r)?;
         let watermark_forced = r.get_u8()? != 0;
@@ -415,13 +496,28 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
         if self.failed {
             return;
         }
+        let sorted_to = self.sorter_point(self.watermark);
+        let mut direct = Vec::new();
         for e in batch.iter_visible() {
             if e.sync_time <= self.watermark {
                 self.handle_late(e);
-            } else {
-                self.high = self.high.max(e.sync_time);
-                self.sorter.push(e.clone());
+                continue;
             }
+            self.high = self.high.max(e.sync_time);
+            let mut e = e.clone();
+            if let Some(size) = self.window {
+                align_tumbling(&mut e, size);
+                if e.sync_time <= sorted_to {
+                    // The open window: ordered after the forwarded
+                    // punctuation, and the sorter is already past it.
+                    direct.push(e);
+                    continue;
+                }
+            }
+            self.sorter.push(e);
+        }
+        if !direct.is_empty() {
+            self.next.on_batch(EventBatch::from_events(direct));
         }
         self.sync_meter();
         self.enforce_budget();
@@ -454,7 +550,7 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
         self.watermark = t;
         self.sync_gauges();
         let mut out = Vec::new();
-        self.sorter.punctuate(t, &mut out);
+        self.sorter.punctuate(self.sorter_point(t), &mut out);
         if self.poll_fault() {
             return;
         }
@@ -463,7 +559,7 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
         if !out.is_empty() {
             self.next.on_batch(EventBatch::from_events(out));
         }
-        self.next.on_punctuation(t);
+        self.next.on_punctuation(self.release_point(t));
     }
 
     fn on_completed(&mut self) {
@@ -544,6 +640,68 @@ mod tests {
         assert_eq!(ts, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert!(validate_ordered_stream(&out.messages()).is_ok());
         assert_eq!(op.dropped_late(), 0);
+    }
+
+    #[test]
+    fn windowed_sort_aligns_before_buffering() {
+        let (out, sink) = Output::<u32>::new();
+        let mut op = sort_op(sink, MemoryMeter::new()).with_window(TickDuration::ticks(10));
+        op.on_batch(batch(&[12, 3, 27, 15, 31]));
+        // Raw watermark 25 closes [0, 10) and [10, 20), forwarding 19; the
+        // open window [20, 30) leaves with them, [30, 40) stays buffered.
+        op.on_punctuation(Timestamp::new(25));
+        assert_eq!(out.last_punctuation(), Some(Timestamp::new(19)));
+        let spans: Vec<(i64, i64, u32)> = out
+            .events()
+            .iter()
+            .map(|e| (e.sync_time.ticks(), e.other_time.ticks(), e.payload))
+            .collect();
+        assert_eq!(
+            spans,
+            vec![(0, 10, 3), (10, 20, 12), (10, 20, 15), (20, 30, 27)]
+        );
+        // Lateness is judged on the raw time: 25 is late, 26 is not and,
+        // being in the open window, goes straight downstream.
+        op.on_batch(batch(&[25, 26, 33]));
+        assert_eq!(op.dropped_late(), 1);
+        assert_eq!(out.events().len(), 5);
+        assert_eq!(op.sorter.buffered_len(), 2, "only [30, 40) is buffered");
+        op.on_completed();
+        let tail: Vec<(i64, u32)> = out.events()[4..]
+            .iter()
+            .map(|e| (e.sync_time.ticks(), e.payload))
+            .collect();
+        assert_eq!(tail, vec![(20, 26), (30, 31), (30, 33)]);
+        assert!(validate_ordered_stream(&out.messages()).is_ok());
+    }
+
+    #[test]
+    fn windowed_forced_cut_empties_the_sorter() {
+        let event = core::mem::size_of::<Event<u32>>();
+        let meter = MemoryMeter::with_budget(8 * event);
+        let (out, sink) = Output::<u32>::new();
+        let mut op = sort_op(sink, meter.clone()).with_window(TickDuration::ticks(100));
+        op.on_batch(batch(&[40, 10, 30, 20]));
+        assert_eq!(op.forced_punctuations(), 0);
+        op.on_batch(batch(&[50, 15, 60, 70, 35, 80, 90]));
+        // The cut moves the raw watermark to 90 and releases everything;
+        // downstream hears window_punctuation(90) = -1.
+        assert_eq!(op.forced_punctuations(), 1);
+        assert_eq!(op.sorter.buffered_len(), 0);
+        assert_eq!(meter.current(), 0);
+        assert_eq!(out.last_punctuation(), Some(Timestamp::new(-1)));
+        assert_eq!(out.events().len(), 11);
+        // 90 is late; 95 joins the still-open window [0, 100) directly.
+        op.on_batch(batch(&[90, 95]));
+        assert_eq!(op.dropped_late(), 1);
+        assert_eq!(op.forced_punctuations(), 1, "an empty sorter is not cut");
+        op.on_completed();
+        assert_eq!(out.events().len(), 12);
+        assert!(out
+            .events()
+            .iter()
+            .all(|e| e.sync_time == Timestamp::new(0)));
+        assert!(validate_ordered_stream(&out.messages()).is_ok());
     }
 
     #[test]

@@ -33,6 +33,26 @@
 //! or, for `shards > 1`, steps 5–7 run *inside* each shard of a
 //! `sharded_with` stage (per-shard sorters, per-shard instrument
 //! prefixes) joined by the deterministic low-watermark merge.
+//!
+//! One rewrite applies between steps 6 and 7, §IV's sort-as-needed rule:
+//! when the ops begin with `tumbling_window` immediately followed by
+//! `sum_by_key`, the window's timestamp adjustment runs *inside* the sort,
+//! before events are buffered (see [`SortOp`]'s module docs). Aligning
+//! collapses distinct timestamps (Proposition 3.2) and so shrinks the
+//! disorder the sorter handles (Fig 9(c)). Output is byte-identical to
+//! the unfused chain. What changes is observable:
+//!
+//! * the pipeline has no `tumbling_window` stage in metrics or spans
+//!   (`sum_by_key` moves up one stage index);
+//! * shed and spilled events carry window-aligned times;
+//! * the sorter buffers a subset of what it did unfused: events of the
+//!   open window go straight to `sum_by_key`, whose state is not charged
+//!   to the memory meter;
+//! * the sort checkpoints as `engine.sort.windowed` with its window size,
+//!   so a checkpoint from the other lowering, or another size, fails to
+//!   restore with a typed error.
+//!
+//! [`SortOp`]: crate::ops::SortOp
 
 use crate::checkpoint::CheckpointCtx;
 use crate::observer::Observer;
@@ -774,44 +794,12 @@ impl PipelineSpec {
                 if spec.hardened {
                     ss = ss.hardened();
                 }
-                let sorter: Box<dyn OnlineSorter<Event<i64>>> = if spec.sort.spill {
-                    let root = spill_root.clone().expect("checked above");
-                    Box::new(ExternalImpatienceSorter::new(ctx.spill_dir(root)))
-                } else {
-                    Box::new(ImpatienceSorter::new())
-                };
-                let mut policy = SortPolicy::new()
-                    .with_late(spec.sort.late)
-                    .with_shed(spec.sort.shed);
-                if let Some(dlq) = &policy_dlq {
-                    policy = policy.with_dead_letters(dlq.clone());
-                }
-                let mut ss = ss
-                    .sorted(sorter, &meter, policy)
-                    .expect("validated spec: policy accepted");
-                for op in &spec.ops {
-                    ss = op.apply(ss);
-                }
-                ss
+                let spill_dir = spill_root.as_ref().map(|root| ctx.spill_dir(root));
+                spec.sort_and_ops(ss, spill_dir, &meter, &policy_dlq)
+                    .expect("validated spec: policy accepted")
             });
         } else {
-            let sorter: Box<dyn OnlineSorter<Event<i64>>> = if self.sort.spill {
-                Box::new(ExternalImpatienceSorter::new(
-                    env.spill_dir.clone().expect("checked above"),
-                ))
-            } else {
-                Box::new(ImpatienceSorter::new())
-            };
-            let mut policy = SortPolicy::new()
-                .with_late(self.sort.late)
-                .with_shed(self.sort.shed);
-            if let Some(dlq) = &dead_letters {
-                policy = policy.with_dead_letters(dlq.clone());
-            }
-            s = s.sorted(sorter, &env.meter, policy)?;
-            for op in &self.ops {
-                s = op.apply(s);
-            }
+            s = self.sort_and_ops(s, env.spill_dir.clone(), &env.meter, &dead_letters)?;
         }
 
         s = s.checkpoint_egress();
@@ -821,6 +809,42 @@ impl PipelineSpec {
             ckpt,
             dead_letters,
         })
+    }
+
+    /// Lowers the sorting stage and the op chain after it — the part of
+    /// the pipeline that runs once unsharded or once per shard — applying
+    /// the sort-as-needed rewrite described in the module docs.
+    fn sort_and_ops(
+        &self,
+        s: Streamable<i64>,
+        spill_dir: Option<PathBuf>,
+        meter: &MemoryMeter,
+        dead_letters: &Option<DeadLetterQueue<i64>>,
+    ) -> Result<Streamable<i64>, StreamError> {
+        let sorter: Box<dyn OnlineSorter<Event<i64>>> = if self.sort.spill {
+            Box::new(ExternalImpatienceSorter::new(
+                spill_dir.expect("build checked the spill directory"),
+            ))
+        } else {
+            Box::new(ImpatienceSorter::new())
+        };
+        let mut policy = SortPolicy::new()
+            .with_late(self.sort.late)
+            .with_shed(self.sort.shed);
+        if let Some(dlq) = dead_letters {
+            policy = policy.with_dead_letters(dlq.clone());
+        }
+        let (window, ops) = match self.ops.as_slice() {
+            [OpSpec::TumblingWindow { size }, OpSpec::SumByKey, ..] => {
+                (Some(*size), &self.ops[1..])
+            }
+            ops => (None, ops),
+        };
+        let mut s = s.sorted_windowed(sorter, meter, policy, window)?;
+        for op in ops {
+            s = op.apply(s);
+        }
+        Ok(s)
     }
 }
 

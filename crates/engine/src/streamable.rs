@@ -631,6 +631,19 @@ impl<P: Payload> Streamable<P> {
         meter: &MemoryMeter,
         policy: ops::SortPolicy<P>,
     ) -> Result<Streamable<P>, StreamError> {
+        self.sorted_windowed(sorter, meter, policy, None)
+    }
+
+    /// [`sorted`](Self::sorted), optionally aligning events to tumbling
+    /// windows of `window` ticks before they are sorted (see
+    /// [`ops::SortOp::with_window`]). The stage keeps the name `sort`.
+    pub(crate) fn sorted_windowed(
+        self,
+        sorter: Box<dyn OnlineSorter<Event<P>>>,
+        meter: &MemoryMeter,
+        policy: ops::SortPolicy<P>,
+        window: Option<TickDuration>,
+    ) -> Result<Streamable<P>, StreamError> {
         if policy.late == LatePolicy::RerouteNextPartition {
             return Err(StreamError::InvalidConfig(
                 "LatePolicy::RerouteNextPartition requires the partitioned framework; \
@@ -657,6 +670,10 @@ impl<P: Payload> Streamable<P> {
         };
         Ok(self.apply_stateful("sort", move |sink| {
             let op = ops::SortOp::with_policy(sorter, meter, policy, sink);
+            let op = match window {
+                Some(size) => op.with_window(size),
+                None => op,
+            };
             let op = match gauges {
                 Some(g) => op.with_gauges(g),
                 None => op,

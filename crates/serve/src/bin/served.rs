@@ -97,10 +97,10 @@ fn run_demo() {
                 window: 256,
                 hold: 2,
             })
-            .with_op(OpSpec::SumByKey)
             .with_op(OpSpec::TumblingWindow {
                 size: TickDuration::ticks(100),
-            }),
+            })
+            .with_op(OpSpec::SumByKey),
     )
     .with_durable(true);
 

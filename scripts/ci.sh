@@ -82,6 +82,16 @@ echo "== shard conformance (byte-identical output across shard counts) =="
 # sequences, and their canonical traces must match the unsharded pipeline.
 cargo test -q --offline --test shard_conformance
 
+echo "== window pushdown (fused sort+window spec vs hand-stacked chain) =="
+# The sort-as-needed lowering gate: 600 seeded disordered streams through
+# a spec whose tumbling window runs inside the sort must produce message
+# sequences and dead letters identical to sorted -> tumbling_window ->
+# reduce_by_key at shard counts {1, 2, 4}; durable fused specs must
+# recover byte-identical after seeded crashes and refuse checkpoints of
+# the other lowering or another window size with a typed error; tight
+# memory budgets must hold under every shed policy.
+cargo test -q --offline --test window_pushdown
+
 echo "== sharded scale smoke (scale --check -> BENCH_scale.json) =="
 # A small sharded run must (a) produce byte-identical output across shard
 # counts (asserted inside the binary), (b) pass the 4-vs-1-shard speedup
