@@ -105,56 +105,8 @@ fn bench_projection_cost(h: &Harness) {
     g.finish();
 }
 
-fn bench_columnar_vs_row(h: &Harness) {
-    use impatience_core::{ColumnarBatch, EventBatch, Timestamp};
-    let ds = dataset();
-    let rows: EventBatch<EvalPayload> = ds.events.clone().into_iter().collect();
-    let cols = ColumnarBatch::from_rows(&rows);
-    let w = TickDuration::ticks(10_000);
-    let mut g = h.group("columnar_vs_row");
-    g.throughput_elements(N as u64);
-    g.bench_function("window_align_rows", || {
-        let mut r = rows.clone();
-        for i in 0..r.len() {
-            impatience_engine::ops::align_tumbling(&mut r.events_mut()[i], w);
-        }
-        r.len()
-    });
-    g.bench_function("window_align_columns", || {
-        let mut c2 = cols.clone();
-        c2.align_tumbling(w);
-        c2.len()
-    });
-    g.bench_function("key_filter_rows", || {
-        let mut r = rows.clone();
-        for i in 0..r.len() {
-            if !r.events()[i].key.is_multiple_of(7) {
-                r.filter_mut().filter_out(i);
-            }
-        }
-        r.visible_len()
-    });
-    g.bench_function("key_filter_columns", || {
-        let mut c2 = cols.clone();
-        c2.filter_keys(|k| k % 7 == 0);
-        c2.visible_len()
-    });
-    g.bench_function("sort_rows_directly", || {
-        let mut v = ds.events.clone();
-        v.sort_by_key(|e| e.sync_time);
-        v.len()
-    });
-    g.bench_function("sort_columns_perm_gather", || {
-        let perm = cols.sort_permutation();
-        cols.gather(&perm).len()
-    });
-    let _ = Timestamp::MIN;
-    g.finish();
-}
-
 fn main() {
     let h = Harness::new();
     bench_plans(&h);
     bench_projection_cost(&h);
-    bench_columnar_vs_row(&h);
 }

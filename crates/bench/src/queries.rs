@@ -3,10 +3,7 @@
 
 use impatience_core::{EvalPayload, MemoryMeter, MetricsRegistry, TickDuration};
 use impatience_engine::{punctuate_arrivals, BlackHoleSink, IngressPolicy, Streamable};
-use impatience_framework::{
-    to_streamables_advanced_metered, to_streamables_basic_metered, DisorderedStreamable,
-    FrameworkStats,
-};
+use impatience_framework::{to_streamables, DisorderedStreamable, FrameworkEnv, FrameworkStats};
 use impatience_workloads::Dataset;
 use std::time::Instant;
 
@@ -157,11 +154,15 @@ pub fn run_query_metered(
     }
     .tumbling_window(window);
 
+    let env = FrameworkEnv {
+        meter: meter.clone(),
+        registry: registry.cloned(),
+        ..FrameworkEnv::new()
+    };
     let stats;
     match method {
         Method::Basic => {
-            let mut ss =
-                to_streamables_basic_metered(prepped, &ladder, &meter, registry).expect("ladder");
+            let mut ss = to_streamables(prepped, &ladder, |s| s, |s| s, &env).expect("ladder");
             stats = ss.stats();
             for i in 0..ladder.len() {
                 // The basic framework re-runs the full query per stream.
@@ -170,23 +171,21 @@ pub fn run_query_metered(
         }
         _ => {
             let mut ss = match query {
-                Query::Q1 => to_streamables_advanced_metered(
+                Query::Q1 => to_streamables(
                     prepped,
                     &ladder,
                     |s: Streamable<EvalPayload>| s.count(),
                     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-                    &meter,
-                    registry,
+                    &env,
                 ),
-                _ => to_streamables_advanced_metered(
+                _ => to_streamables(
                     prepped,
                     &ladder,
                     |s: Streamable<EvalPayload>| {
                         s.group_aggregate(impatience_engine::ops::CountAgg)
                     },
                     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-                    &meter,
-                    registry,
+                    &env,
                 ),
             }
             .expect("ladder");

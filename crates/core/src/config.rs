@@ -1,13 +1,16 @@
 //! Shared configuration-validation vocabulary.
 //!
-//! Every builder in the workspace (`ShardOptions`, `SortPolicy`,
-//! `FrameworkPolicy`, the serving layer's `TenantConfig`, and the
-//! declarative `PipelineSpec`) validates against the same typed error:
-//! a [`ConfigError`] names the offending field and the rule it broke, so
-//! a service front-end can echo a precise diagnostic back over the wire
-//! instead of a stringly `InvalidConfig`. The lossy bridge into the
-//! engine's error channel ([`StreamError::InvalidConfig`]) is a `From`
-//! impl, keeping existing signatures unchanged.
+//! Every validated builder in the workspace (`ShardOptions`,
+//! `AdaptiveConfig`, the serving layer's `TenantConfig` and
+//! `ServerConfig`, and the declarative `PipelineSpec`) validates against
+//! the same typed error: a [`ConfigError`] names the offending field and
+//! the rule it broke, so a service front-end can echo a precise
+//! diagnostic back over the wire instead of a stringly `InvalidConfig`.
+//! The lossy bridge into the engine's error channel
+//! ([`StreamError::InvalidConfig`]) is a `From` impl, keeping existing
+//! signatures unchanged. The framework builder `to_streamables` checks
+//! its latency ladder itself and reports a bad ladder as
+//! [`StreamError::InvalidConfig`].
 
 use crate::error::StreamError;
 

@@ -1,5 +1,5 @@
 //! Two further measures from Estivill-Castro & Wood's adaptive-sorting
-//! survey (the paper's [10]), complementing the four §II uses:
+//! survey (the paper's \[10\]), complementing the four §II uses:
 //!
 //! * **Rem** — the minimum number of elements whose *removal* leaves a
 //!   sorted sequence: `n − longest nondecreasing subsequence`. For an

@@ -317,18 +317,6 @@ impl ShardOptions {
         self
     }
 
-    /// Overrides the per-queue capacity.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_queue_capacity`")]
-    pub fn queue_capacity(self, cap: usize) -> Self {
-        self.with_queue_capacity(cap)
-    }
-
-    /// Overrides the merge stall timeout.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_stall_timeout`")]
-    pub fn stall_timeout(self, t: Duration) -> Self {
-        self.with_stall_timeout(t)
-    }
-
     /// Publishes the `shard.*` instruments into `registry`.
     pub fn with_registry(mut self, registry: &MetricsRegistry) -> Self {
         self.registry = Some(registry.clone());

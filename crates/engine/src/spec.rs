@@ -5,7 +5,7 @@
 //! `checkpointed` → `instrument` → `hardened` → `sorted` → `sharded`),
 //! and getting that order wrong silently produced un-metered, un-guarded,
 //! or un-checkpointed chains. A [`PipelineSpec`] makes the stack *data*:
-//! it is parsed from [`core::json`](impatience_core::json), validated with
+//! it is parsed from [`core::json`](mod@impatience_core::json), validated with
 //! typed [`ConfigError`]s, and lowered by a single builder
 //! ([`PipelineSpec::build`]) that owns the canonical combinator order. A
 //! multi-tenant service can therefore construct, restart, and

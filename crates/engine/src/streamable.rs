@@ -18,7 +18,7 @@ use crate::hardened::PanicGuard;
 use crate::metered::{EgressProbe, MeteredObserver, OperatorMetrics};
 use crate::observer::{CollectorSink, FnSink, Observer, Output, SharedSink};
 use crate::ops;
-use crate::traced::{TraceCtx, TraceState};
+use crate::traced::{StageTrace, TraceCtx, TraceState};
 use impatience_core::metrics::Counter;
 use impatience_core::{
     Event, EventBatch, LatePolicy, MemoryMeter, MetricsRegistry, Payload, SnapshotError,
@@ -41,28 +41,16 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Instrumentation context carried along a streamable chain: every stage
 /// appended after [`Streamable::instrument`] registers its operator metrics
 /// under `{prefix}.{stage:02}.{name}` and is wrapped in metering probes.
-#[derive(Clone)]
 struct Instrument {
     registry: MetricsRegistry,
     prefix: String,
     stage: usize,
 }
 
-impl Instrument {
-    /// Registers instruments for the next stage and advances the counter.
-    fn next_op(&mut self, name: &str) -> OperatorMetrics {
-        let metrics = OperatorMetrics::register(
-            &self.registry,
-            &format!("{}.{:02}.{name}", self.prefix, self.stage),
-        );
-        self.stage += 1;
-        metrics
-    }
-}
-
-/// A lazily constructed ordered stream of events with payload `P`.
-pub struct Streamable<P: Payload> {
-    connect: Connector<P>,
+/// The cross-cutting layers a chain wraps around every stage appended
+/// after they are switched on. Each layer is inert: a chain produces the
+/// same messages with any combination of them.
+struct Layers {
     instr: Option<Instrument>,
     hardened: bool,
     /// Operator panics caught across the chain. Registered as
@@ -79,16 +67,89 @@ pub struct Streamable<P: Payload> {
     trace: Option<TraceState>,
 }
 
+impl Layers {
+    /// Mints the next stage's share of the layers, advancing the metric
+    /// and span stage counters (a binary operator takes one stage).
+    fn next_stage(&mut self, name: &str) -> StageLayers {
+        let metrics = self.instr.as_mut().map(|ins| {
+            let metrics = OperatorMetrics::register(
+                &ins.registry,
+                &format!("{}.{:02}.{name}", ins.prefix, ins.stage),
+            );
+            ins.stage += 1;
+            metrics
+        });
+        StageLayers {
+            metrics,
+            trace: self.trace.as_mut().map(|t| t.next_stage(name)),
+            panics: self.panics.clone(),
+        }
+    }
+}
+
+/// What a hardened stage input's [`PanicGuard`] needs beyond the chain's
+/// panic counter: the operator name it reports, and the port it delivers
+/// a caught panic's typed error into.
+type GuardPort<Q> = (String, Arc<Mutex<Box<dyn Observer<Q>>>>);
+
+/// One stage's layers, built into the chain at connect time.
+#[derive(Clone)]
+struct StageLayers {
+    metrics: Option<OperatorMetrics>,
+    trace: Option<StageTrace>,
+    panics: Counter,
+}
+
+impl StageLayers {
+    /// Wraps the stage's downstream in its out-traffic probe.
+    fn egress<Q: Payload>(&self, sink: Box<dyn Observer<Q>>) -> Box<dyn Observer<Q>> {
+        match &self.metrics {
+            Some(m) => Box::new(EgressProbe::new(m.clone(), sink)),
+            None => sink,
+        }
+    }
+
+    /// Wraps one input of the stage, innermost first: [`MeteredObserver`]
+    /// (in-traffic, busy time, watermark lag) → span recorder →
+    /// [`PanicGuard`] (only with a `guard`, i.e. on a hardened chain).
+    fn wrap_input<P: Payload, Q: Payload>(
+        self,
+        op: Box<dyn Observer<P>>,
+        guard: Option<GuardPort<Q>>,
+    ) -> Box<dyn Observer<P>> {
+        let op: Box<dyn Observer<P>> = match self.metrics {
+            Some(m) => Box::new(MeteredObserver::new(m, op)),
+            None => op,
+        };
+        let op = match self.trace {
+            Some(t) => t.observer(op),
+            None => op,
+        };
+        match guard {
+            Some((label, port)) => Box::new(PanicGuard::new(label, op, port, self.panics)),
+            None => op,
+        }
+    }
+}
+
+/// A lazily constructed ordered stream of events with payload `P`.
+pub struct Streamable<P: Payload> {
+    connect: Connector<P>,
+    layers: Layers,
+}
+
 impl<P: Payload> Streamable<P> {
     /// Builds a streamable from a raw connector.
     pub fn from_connector(connect: impl FnOnce(Box<dyn Observer<P>>) + Send + 'static) -> Self {
         Streamable {
             connect: Box::new(connect),
-            instr: None,
-            hardened: false,
-            panics: Counter::new(),
-            ckpt: None,
-            trace: None,
+            layers: Layers {
+                instr: None,
+                hardened: false,
+                panics: Counter::new(),
+                ckpt: None,
+                trace: None,
+            },
         }
     }
 
@@ -104,8 +165,8 @@ impl<P: Payload> Streamable<P> {
     /// zero), so every instrumented snapshot carries it whether or not the
     /// chain is also [`hardened`](Streamable::hardened).
     pub fn instrument(mut self, registry: &MetricsRegistry, prefix: &str) -> Self {
-        self.panics = registry.counter(&format!("{prefix}.operator_panics"));
-        self.instr = Some(Instrument {
+        self.layers.panics = registry.counter(&format!("{prefix}.operator_panics"));
+        self.layers.instr = Some(Instrument {
             registry: registry.clone(),
             prefix: prefix.to_string(),
             stage: 0,
@@ -119,7 +180,7 @@ impl<P: Payload> Streamable<P> {
     /// [`crate::traced`] for the span and provenance model). Like
     /// instrumentation, tracing never alters the stream.
     pub fn traced(mut self, ctx: TraceCtx) -> Self {
-        self.trace = Some(TraceState::new(ctx));
+        self.layers.trace = Some(TraceState::new(ctx));
         self
     }
 
@@ -134,7 +195,7 @@ impl<P: Payload> Streamable<P> {
     /// Hardening never alters the stream of a panic-free run: a hardened
     /// pipeline produces exactly the output of a bare one.
     pub fn hardened(mut self) -> Self {
-        self.hardened = true;
+        self.layers.hardened = true;
         self
     }
 
@@ -175,69 +236,84 @@ impl<P: Payload> Streamable<P> {
         self.apply_named("op", build)
     }
 
-    /// Applies an operator-builder stage under an operator name. When the
-    /// chain is instrumented, the stage is sandwiched between a
-    /// [`MeteredObserver`] (in-traffic, busy time, watermark lag) and an
-    /// [`EgressProbe`] (out-traffic); when traced, the (possibly metered)
-    /// operator is wrapped in a span recorder; when hardened, the result
-    /// is additionally wrapped in a [`PanicGuard`] sharing the stage's
-    /// downstream; otherwise it connects bare.
+    /// Applies an operator-builder stage under an operator name, wrapping
+    /// its input in the chain's layers (see [`StageLayers::wrap_input`])
+    /// and, when instrumented, its output in an [`EgressProbe`]. A
+    /// hardened stage's operator writes into a shared view of its
+    /// downstream, so its guard can deliver the terminal error into the
+    /// same cell if the operator dies mid-handler.
     pub(crate) fn apply_named<Q: Payload>(
         mut self,
         name: &str,
         build: impl FnOnce(Box<dyn Observer<Q>>) -> Box<dyn Observer<P>> + Send + 'static,
     ) -> Streamable<Q> {
+        let label = self.layers.hardened.then(|| match &self.layers.instr {
+            Some(ins) => format!("{}.{:02}.{name}", ins.prefix, ins.stage),
+            None => name.to_string(),
+        });
+        let stage = self.layers.next_stage(name);
         let upstream = self.connect;
-        let hardened = self.hardened;
-        let panics = self.panics.clone();
-        let (metrics, label) = match self.instr.as_mut() {
-            Some(ins) => {
-                let label = format!("{}.{:02}.{name}", ins.prefix, ins.stage);
-                (Some(ins.next_op(name)), label)
-            }
-            None => (None, name.to_string()),
-        };
-        let stage_trace = self.trace.as_mut().map(|t| t.next_stage(name));
         let connect = move |sink: Box<dyn Observer<Q>>| {
-            let downstream: Box<dyn Observer<Q>> = match &metrics {
-                Some(m) => Box::new(EgressProbe::new(m.clone(), sink)),
-                None => sink,
+            let downstream = stage.egress(sink);
+            let (op, guard) = match label {
+                Some(label) => {
+                    let port = Arc::new(Mutex::new(downstream));
+                    (
+                        build(Box::new(SharedSink(port.clone()))),
+                        Some((label, port)),
+                    )
+                }
+                None => (build(downstream), None),
             };
-            if hardened {
-                // The operator writes into a shared view of its downstream;
-                // the guard writes the terminal error into the same cell if
-                // the operator dies mid-handler.
-                let shared = Arc::new(Mutex::new(downstream));
-                let op = build(Box::new(SharedSink(shared.clone())));
-                let op: Box<dyn Observer<P>> = match metrics {
-                    Some(m) => Box::new(MeteredObserver::new(m, op)),
-                    None => op,
-                };
-                let op = match stage_trace {
-                    Some(t) => t.observer(op),
-                    None => op,
-                };
-                upstream(Box::new(PanicGuard::new(label, op, shared, panics)));
-            } else {
-                let op = build(downstream);
-                let op: Box<dyn Observer<P>> = match metrics {
-                    Some(m) => Box::new(MeteredObserver::new(m, op)),
-                    None => op,
-                };
-                let op = match stage_trace {
-                    Some(t) => t.observer(op),
-                    None => op,
-                };
-                upstream(op);
-            }
+            upstream(stage.wrap_input(op, guard));
         };
         Streamable {
             connect: Box::new(connect),
-            instr: self.instr,
-            hardened: self.hardened,
-            panics: self.panics,
-            ckpt: self.ckpt,
-            trace: self.trace,
+            layers: self.layers,
+        }
+    }
+
+    /// Applies a binary operator stage: one stage number, one instrument
+    /// set whose in-side counters sum over both legs, one span label each
+    /// leg records under into its own ring. `build` wires the operator to
+    /// its (probed) downstream and returns its two input handles; a clone
+    /// of a handle is a second port onto the shared operator core, which a
+    /// hardened leg's guard fails on a caught panic (labelled
+    /// `{name}.left` / `{name}.right`), so the core forwards one typed
+    /// error downstream and stops all further output.
+    fn apply_binary<R, Out, L, Rh>(
+        mut self,
+        other: Streamable<R>,
+        name: &'static str,
+        build: impl FnOnce(Box<dyn Observer<Out>>, Option<&CheckpointCtx>) -> (L, Rh) + Send + 'static,
+    ) -> Streamable<Out>
+    where
+        R: Payload,
+        Out: Payload,
+        L: Observer<P> + Clone + 'static,
+        Rh: Observer<R> + Clone + 'static,
+    {
+        let hardened = self.layers.hardened;
+        let ckpt = self.layers.ckpt.clone();
+        let stage = self.layers.next_stage(name);
+        let left_connect = self.connect;
+        let right_connect = other.connect;
+        let connect = move |sink: Box<dyn Observer<Out>>| {
+            let (l, r) = build(stage.egress(sink), ckpt.as_ref());
+            let l_guard = hardened.then(|| {
+                let port: Box<dyn Observer<P>> = Box::new(l.clone());
+                (format!("{name}.left"), Arc::new(Mutex::new(port)))
+            });
+            let r_guard = hardened.then(|| {
+                let port: Box<dyn Observer<R>> = Box::new(r.clone());
+                (format!("{name}.right"), Arc::new(Mutex::new(port)))
+            });
+            left_connect(stage.clone().wrap_input(Box::new(l), l_guard));
+            right_connect(stage.wrap_input(Box::new(r), r_guard));
+        };
+        Streamable {
+            connect: Box::new(connect),
+            layers: self.layers,
         }
     }
 
@@ -254,7 +330,7 @@ impl<P: Payload> Streamable<P> {
     where
         O: Observer<P> + Checkpointable + 'static,
     {
-        let ckpt = self.ckpt.clone();
+        let ckpt = self.layers.ckpt.clone();
         self.apply_named(name, move |sink| {
             let op = build(sink);
             match ckpt {
@@ -287,7 +363,7 @@ impl<P: Payload> Streamable<P> {
     ) -> Result<(Streamable<P>, CheckpointCtx), SnapshotError> {
         let checkpointer = Checkpointer::open(dir)?;
         let ctx = CheckpointCtx::new();
-        self.ckpt = Some(ctx.clone());
+        self.layers.ckpt = Some(ctx.clone());
         let gate_ctx = ctx.clone();
         let stream = self.apply_named("checkpoint", move |sink| {
             Box::new(CheckpointGate::new(
@@ -304,7 +380,7 @@ impl<P: Payload> Streamable<P> {
     /// the framework crate uses this to enrol partition pipelines with the
     /// ladder's shared context.
     pub fn with_checkpoint(mut self, ctx: &CheckpointCtx) -> Self {
-        self.ckpt = Some(ctx.clone());
+        self.layers.ckpt = Some(ctx.clone());
         self
     }
 
@@ -313,7 +389,7 @@ impl<P: Payload> Streamable<P> {
     /// which checkpoints persist as the committed output prefix for
     /// exactly-once consumers. A no-op on chains without a context.
     pub fn checkpoint_egress(self) -> Streamable<P> {
-        match &self.ckpt {
+        match &self.layers.ckpt {
             Some(ctx) => {
                 let counter = ctx.egress_counter();
                 self.apply_named("egress", move |sink| {
@@ -409,142 +485,35 @@ impl<P: Payload> Streamable<P> {
     /// Relation state is charged to `meter`. An order-sensitive operator
     /// (§IV-A): both inputs must be ordered streams.
     pub fn join<R: Payload, Out: Payload>(
-        mut self,
+        self,
         other: Streamable<R>,
         combine: impl FnMut(&P, &R) -> Out + Send + 'static,
         meter: &MemoryMeter,
     ) -> Streamable<Out> {
         let meter = meter.clone();
-        let hardened = self.hardened;
-        let panics = self.panics.clone();
-        let ckpt = self.ckpt.clone();
-        let mut instr = self.instr.take();
-        // Binary operator: one instrument set shared by both inputs (the
-        // in-side counters sum over the two legs) plus an egress probe.
-        let metrics = instr.as_mut().map(|ins| ins.next_op("join"));
-        let mut trace = self.trace.take();
-        let stage_trace = trace.as_mut().map(|t| t.next_stage("join"));
-        let left_connect = self.connect;
-        let right_connect = other.connect;
-        let connect = move |sink: Box<dyn Observer<Out>>| {
-            let downstream: Box<dyn Observer<Out>> = match &metrics {
-                Some(m) => Box::new(EgressProbe::new(m.clone(), sink)),
-                None => sink,
-            };
+        self.apply_binary(other, "join", move |downstream, ckpt| {
             let (l, r) = ops::temporal_join(combine, downstream, meter);
-            if let Some(ctx) = &ckpt {
+            if let Some(ctx) = ckpt {
                 // One input handle snapshots the whole shared join core.
                 ctx.register(Arc::new(Mutex::new(l.clone())));
             }
-            // A leg's error port is a second handle onto the shared join
-            // core: a caught panic fails the core, which forwards one
-            // typed error to the sink and stops all further output.
-            let (l_port, r_port) = (l.clone(), r.clone());
-            let l: Box<dyn Observer<P>> = match &metrics {
-                Some(m) => Box::new(MeteredObserver::new(m.clone(), l)),
-                None => Box::new(l),
-            };
-            let r: Box<dyn Observer<R>> = match metrics {
-                Some(m) => Box::new(MeteredObserver::new(m, r)),
-                None => Box::new(r),
-            };
-            // Each leg records under the same stage label into its own ring.
-            let (l, r) = match stage_trace {
-                Some(t) => (t.clone().observer(l), t.observer(r)),
-                None => (l, r),
-            };
-            if hardened {
-                left_connect(Box::new(PanicGuard::new(
-                    "join.left",
-                    l,
-                    Arc::new(Mutex::new(Box::new(l_port) as Box<dyn Observer<P>>)),
-                    panics.clone(),
-                )));
-                right_connect(Box::new(PanicGuard::new(
-                    "join.right",
-                    r,
-                    Arc::new(Mutex::new(Box::new(r_port) as Box<dyn Observer<R>>)),
-                    panics,
-                )));
-            } else {
-                left_connect(l);
-                right_connect(r);
-            }
-        };
-        Streamable {
-            connect: Box::new(connect),
-            instr,
-            hardened: self.hardened,
-            panics: self.panics,
-            ckpt: self.ckpt,
-            trace,
-        }
+            (l, r)
+        })
     }
 
     /// Merges this stream with `other` into one ordered stream; events
     /// buffered for synchronization are charged to `meter` (§V-A).
-    pub fn union(mut self, other: Streamable<P>, meter: &MemoryMeter) -> Streamable<P> {
+    pub fn union(self, other: Streamable<P>, meter: &MemoryMeter) -> Streamable<P> {
         let meter = meter.clone();
-        let hardened = self.hardened;
-        let panics = self.panics.clone();
-        let ckpt = self.ckpt.clone();
-        let mut instr = self.instr.take();
-        let metrics = instr.as_mut().map(|ins| ins.next_op("union"));
-        let mut trace = self.trace.take();
-        let stage_trace = trace.as_mut().map(|t| t.next_stage("union"));
-        let left_connect = self.connect;
-        let right_connect = other.connect;
-        let connect = move |sink: Box<dyn Observer<P>>| {
-            let downstream: Box<dyn Observer<P>> = match &metrics {
-                Some(m) => Box::new(EgressProbe::new(m.clone(), sink)),
-                None => sink,
-            };
+        self.apply_binary(other, "union", move |downstream, ckpt| {
             let (l, r, probe) = ops::union(downstream, meter);
-            if let Some(ctx) = &ckpt {
+            if let Some(ctx) = ckpt {
                 // The probe views the shared union core: both sides'
                 // synchronization buffers snapshot through it.
                 ctx.register(Arc::new(Mutex::new(probe)));
             }
-            let (l_port, r_port) = (l.clone(), r.clone());
-            let l: Box<dyn Observer<P>> = match &metrics {
-                Some(m) => Box::new(MeteredObserver::new(m.clone(), l)),
-                None => Box::new(l),
-            };
-            let r: Box<dyn Observer<P>> = match metrics {
-                Some(m) => Box::new(MeteredObserver::new(m, r)),
-                None => Box::new(r),
-            };
-            // Each leg records under the same stage label into its own ring.
-            let (l, r) = match stage_trace {
-                Some(t) => (t.clone().observer(l), t.observer(r)),
-                None => (l, r),
-            };
-            if hardened {
-                left_connect(Box::new(PanicGuard::new(
-                    "union.left",
-                    l,
-                    Arc::new(Mutex::new(Box::new(l_port) as Box<dyn Observer<P>>)),
-                    panics.clone(),
-                )));
-                right_connect(Box::new(PanicGuard::new(
-                    "union.right",
-                    r,
-                    Arc::new(Mutex::new(Box::new(r_port) as Box<dyn Observer<P>>)),
-                    panics,
-                )));
-            } else {
-                left_connect(l);
-                right_connect(r);
-            }
-        };
-        Streamable {
-            connect: Box::new(connect),
-            instr,
-            hardened: self.hardened,
-            panics: self.panics,
-            ckpt: self.ckpt,
-            trace,
-        }
+            (l, r)
+        })
     }
 
     /// Terminal: connects an arbitrary observer.
@@ -582,24 +551,8 @@ impl<P: Payload> Streamable<P> {
 impl<P: Payload> Streamable<P> {
     /// Sorting stage over a *disordered* upstream: buffers in `sorter`,
     /// flushing on punctuations. The result is an ordered stream. Buffered
-    /// state is charged to `meter`; late events are dropped and counted.
-    ///
-    /// On an instrumented chain the sorter additionally publishes
-    /// [`SorterGauges`] (run count, buffered events, state-byte high-water
-    /// mark, speculation counters) under `{prefix}.{stage:02}.sorter.*`.
-    #[deprecated(since = "0.2.0", note = "use `sorted` with `SortPolicy::default()`")]
-    pub fn sorted_with(
-        self,
-        sorter: Box<dyn OnlineSorter<Event<P>>>,
-        meter: &MemoryMeter,
-    ) -> Streamable<P> {
-        self.sorted(sorter, meter, ops::SortPolicy::default())
-            .expect("the default sort policy is always accepted")
-    }
-
-    /// [`sorted_with`](Streamable::sorted_with) with an explicit
-    /// failure-model policy: what to do with late events
-    /// ([`LatePolicy`]), and what to shed when `meter` carries an
+    /// state is charged to `meter`; `policy` decides the fate of late
+    /// events ([`LatePolicy`]) and what to shed when `meter` carries an
     /// enforced budget and the sorter exceeds it
     /// ([`ShedPolicy`](impatience_core::ShedPolicy)).
     ///
@@ -609,22 +562,11 @@ impl<P: Payload> Streamable<P> {
     /// routes late events *before* they reach a sorter; a standalone
     /// sorting stage has no next partition to hand them to.
     ///
-    /// On an instrumented chain the stage additionally registers
+    /// On an instrumented chain the sorter additionally publishes
+    /// [`SorterGauges`] (run count, buffered events, state-byte high-water
+    /// mark, speculation counters) under `{prefix}.{stage:02}.sorter.*` and
     /// [`SortFaultCounters`](ops::SortFaultCounters) under
-    /// `{prefix}.{stage:02}.sort.*` fault-counter names.
-    #[deprecated(since = "0.2.0", note = "renamed to `sorted`")]
-    pub fn sorted_with_policy(
-        self,
-        sorter: Box<dyn OnlineSorter<Event<P>>>,
-        meter: &MemoryMeter,
-        policy: ops::SortPolicy<P>,
-    ) -> Result<Streamable<P>, StreamError> {
-        self.sorted(sorter, meter, policy)
-    }
-
-    /// The canonical fallible sorting stage (supersedes the
-    /// `sorted_with` / `sorted_with_policy` twin pair): buffers in
-    /// `sorter`, flushing on punctuations under `policy`.
+    /// `{prefix}.{stage:02}.sort.*`.
     pub fn sorted(
         self,
         sorter: Box<dyn OnlineSorter<Event<P>>>,
@@ -652,7 +594,7 @@ impl<P: Payload> Streamable<P> {
             ));
         }
         let meter = meter.clone();
-        let (gauges, faults) = match self.instr.as_ref() {
+        let (gauges, faults) = match self.layers.instr.as_ref() {
             Some(ins) => {
                 let base = format!("{}.{:02}", ins.prefix, ins.stage);
                 (
@@ -767,25 +709,10 @@ impl<P: Payload> InputHandle<P> {
         self.deliver(StreamMessage::Punctuation(t));
     }
 
-    /// The canonical fallible push (supersedes the `push_message` /
-    /// `try_push_message` twin pair): delivers any message, returning
+    /// Pushes any message, returning
     /// [`StreamError::PushAfterCompleted`] if the stream is already
     /// complete.
     pub fn push(&self, msg: StreamMessage<P>) -> Result<(), StreamError> {
-        self.try_deliver(msg)
-    }
-
-    /// Pushes any message, panicking after completion.
-    #[deprecated(since = "0.2.0", note = "use the fallible `push`")]
-    pub fn push_message(&self, msg: StreamMessage<P>) {
-        self.deliver(msg);
-    }
-
-    /// Pushes any message, returning
-    /// [`StreamError::PushAfterCompleted`] instead of panicking if the
-    /// stream is already complete.
-    #[deprecated(since = "0.2.0", note = "renamed to `push`")]
-    pub fn try_push_message(&self, msg: StreamMessage<P>) -> Result<(), StreamError> {
         self.try_deliver(msg)
     }
 
@@ -905,7 +832,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_with_turns_disorder_into_order() {
+    fn sorted_turns_disorder_into_order() {
         let meter = MemoryMeter::new();
         // Bypass the ordered-stream debug check by pushing via a live input.
         let (handle, stream) = input_stream::<u32>();
@@ -1087,8 +1014,59 @@ mod tests {
         assert!(!out.is_completed());
     }
 
+    /// A terminal sink that panics on every batch: no stage guard sits
+    /// below it, so the binary operator leg that delivered the batch
+    /// catches the panic.
+    struct PanicOnBatch<P: Payload>(CollectorSink<P>);
+
+    impl<P: Payload> Observer<P> for PanicOnBatch<P> {
+        fn on_batch(&mut self, _batch: EventBatch<P>) {
+            panic!("sink poison");
+        }
+        fn on_punctuation(&mut self, t: Timestamp) {
+            self.0.on_punctuation(t);
+        }
+        fn on_completed(&mut self) {
+            self.0.on_completed();
+        }
+        fn on_error(&mut self, err: StreamError) {
+            self.0.on_error(err);
+        }
+    }
+
     #[test]
-    fn sorted_with_policy_rejects_reroute() {
+    fn hardened_binary_legs_report_their_labels() {
+        let meter = MemoryMeter::new();
+        let leg = |ts: &[i64]| Streamable::from_ordered_events(evs(ts)).hardened();
+        let operator = |connect: &dyn Fn(Box<dyn Observer<u32>>)| {
+            let (out, sink) = Output::new();
+            connect(Box::new(PanicOnBatch(sink)));
+            match out.error() {
+                Some(StreamError::OperatorPanicked { operator, message }) => {
+                    assert!(message.contains("sink poison"), "{message}");
+                    operator
+                }
+                other => panic!("expected OperatorPanicked, got {other:?}"),
+            }
+        };
+        // The left source runs to completion at subscribe time, so the
+        // right leg's first batch is the one that releases output.
+        let union = operator(&|sink| {
+            leg(&[1, 4, 9])
+                .union(leg(&[2, 3, 10]), &meter)
+                .subscribe_observer(sink)
+        });
+        assert_eq!(union, "union.right");
+        let join = operator(&|sink| {
+            leg(&[1, 2])
+                .join(leg(&[1, 2]), |a: &u32, _b: &u32| *a, &meter)
+                .subscribe_observer(sink)
+        });
+        assert_eq!(join, "join.right");
+    }
+
+    #[test]
+    fn sorted_rejects_reroute() {
         let meter = MemoryMeter::new();
         let err = Streamable::from_ordered_events(evs(&[1]))
             .sorted(
@@ -1109,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_with_policy_registers_fault_counters() {
+    fn sorted_registers_fault_counters() {
         let registry = MetricsRegistry::new();
         let meter = MemoryMeter::new();
         let (handle, stream) = input_stream::<u32>();

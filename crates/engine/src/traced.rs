@@ -3,7 +3,7 @@
 //!
 //! [`Streamable::traced`](crate::Streamable::traced) threads a [`TraceCtx`]
 //! along a chain the same way `instrument` threads a metrics registry:
-//! every stage appended afterwards is wrapped in a [`SpanObserver`] that
+//! every stage appended afterwards is wrapped in a `SpanObserver` that
 //! records one span per batch/punctuation — labelled
 //! `{prefix}.{stage:02}.{name}` — into a private [`SpanRing`], drained
 //! into the shared [`TraceSink`] at egress (completion, error, or drop).

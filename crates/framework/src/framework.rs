@@ -17,6 +17,10 @@
 //!   intermediate results — the Fig 10 throughput (~2–3×) and memory
 //!   (~30×) wins.
 //!
+//! Both forms are one builder, [`to_streamables`]; a [`FrameworkEnv`]
+//! carries the memory account, instruments, failure model, tracing and
+//! durability of a build, and the shims above fill it with defaults.
+//!
 //! Delay partitioning uses the ingress watermark clock: an event's delay
 //! is `high_watermark − sync_time` at arrival; it is routed to the first
 //! partition whose latency strictly exceeds that delay, or dropped (and
@@ -42,7 +46,10 @@ use impatience_sort::{ImpatienceConfig, ImpatienceSorter};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// Failure-model configuration for a framework instance.
+/// Everything a framework build needs from its surroundings: the memory
+/// account, optional instruments, the failure model, and optional tracing
+/// and durability. Follows the workspace builder convention (`Default` +
+/// `with_*`); [`FrameworkEnv::new`] is the paper's plain framework.
 ///
 /// `late` decides the fate of an event whose delay exceeds the *fastest*
 /// latency `l₀`: [`LatePolicy::RerouteNextPartition`] (the paper's §V
@@ -53,32 +60,60 @@ use std::sync::{Arc, Mutex};
 /// first two policies and dead-lettered under the third.
 ///
 /// `shed` and `dead_letters` are handed to every partition's sorting
-/// operator, so a budget on the shared [`MemoryMeter`] degrades gracefully
-/// instead of growing without bound.
-pub struct FrameworkPolicy<P: Payload> {
+/// operator, so a budget on `meter` degrades gracefully instead of growing
+/// without bound.
+pub struct FrameworkEnv<P: Payload> {
+    /// The memory account charged by every partition sorter and union
+    /// buffer; give it a budget to arm `shed`.
+    pub meter: MemoryMeter,
+    /// Registry the framework publishes its instruments into (see
+    /// [`to_streamables`]).
+    pub registry: Option<MetricsRegistry>,
     /// Routing of events that missed the fastest partition.
     pub late: LatePolicy,
     /// Per-partition sorter shedding under memory pressure.
     pub shed: ShedPolicy,
     /// Destination for dead-lettered events (partitioner and sorters).
     pub dead_letters: Option<DeadLetterQueue<P>>,
+    /// Span sink every partition pipeline records into.
+    pub trace: Option<TraceSink>,
+    /// Durable snapshot directory and checkpoint cadence (every `n` input
+    /// punctuations).
+    pub checkpoint: Option<(PathBuf, u32)>,
 }
 
-impl<P: Payload> Default for FrameworkPolicy<P> {
+impl<P: Payload> Default for FrameworkEnv<P> {
     fn default() -> Self {
-        FrameworkPolicy {
+        FrameworkEnv {
+            meter: MemoryMeter::new(),
+            registry: None,
             late: LatePolicy::RerouteNextPartition,
             shed: ShedPolicy::default(),
             dead_letters: None,
+            trace: None,
+            checkpoint: None,
         }
     }
 }
 
-impl<P: Payload> FrameworkPolicy<P> {
-    /// The default policy (reroute late events, force punctuation on
-    /// budget, no dead-letter queue).
+impl<P: Payload> FrameworkEnv<P> {
+    /// The plain framework: unbudgeted meter, no instruments, reroute late
+    /// events, force punctuation on budget, no dead-letter queue, no
+    /// tracing, not durable.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Charges sorter and union state to `meter`.
+    pub fn with_meter(mut self, meter: &MemoryMeter) -> Self {
+        self.meter = meter.clone();
+        self
+    }
+
+    /// Publishes instruments into `registry`.
+    pub fn with_registry(mut self, registry: &MetricsRegistry) -> Self {
+        self.registry = Some(registry.clone());
+        self
     }
 
     /// Sets the late-event routing policy.
@@ -87,26 +122,23 @@ impl<P: Payload> FrameworkPolicy<P> {
         self
     }
 
-    /// Sets the per-partition shed policy.
-    pub fn with_shed(mut self, shed: ShedPolicy) -> Self {
-        self.shed = shed;
-        self
-    }
-
     /// Attaches a dead-letter queue.
-    pub fn with_dead_letters(mut self, queue: DeadLetterQueue<P>) -> Self {
-        self.dead_letters = Some(queue);
+    pub fn with_dead_letters(mut self, queue: &DeadLetterQueue<P>) -> Self {
+        self.dead_letters = Some(queue.clone());
         self
     }
-}
 
-impl<P: Payload> Clone for FrameworkPolicy<P> {
-    fn clone(&self) -> Self {
-        FrameworkPolicy {
-            late: self.late,
-            shed: self.shed,
-            dead_letters: self.dead_letters.clone(),
-        }
+    /// Records spans on `sink`.
+    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
+        self.trace = Some(sink.clone());
+        self
+    }
+
+    /// Checkpoints into `dir` after every `every_n_punctuations` input
+    /// punctuations.
+    pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, every_n_punctuations: u32) -> Self {
+        self.checkpoint = Some((dir.into(), every_n_punctuations));
+        self
     }
 }
 
@@ -194,6 +226,7 @@ pub struct Streamables<Q: Payload> {
     streams: Vec<Option<Streamable<Q>>>,
     latencies: Vec<TickDuration>,
     stats: FrameworkStats,
+    ckpt: Option<CheckpointCtx>,
 }
 
 impl<Q: Payload> Streamables<Q> {
@@ -208,24 +241,8 @@ impl<Q: Payload> Streamables<Q> {
     }
 
     /// Takes ownership of output stream `i` (the paper's
-    /// `ss.Streamable(i)`). Panics if already taken.
-    #[deprecated(since = "0.2.0", note = "use the fallible `take_stream`")]
-    pub fn stream(&mut self, i: usize) -> Streamable<Q> {
-        self.take_stream(i)
-            .expect("output stream already subscribed")
-    }
-
-    /// Fallible form of [`Self::take_stream`], kept for source
-    /// compatibility.
-    #[deprecated(since = "0.2.0", note = "renamed to `take_stream`")]
-    pub fn try_stream(&mut self, i: usize) -> Result<Streamable<Q>, StreamError> {
-        self.take_stream(i)
-    }
-
-    /// The canonical fallible accessor (supersedes the `stream` /
-    /// `try_stream` twin pair): takes ownership of output stream `i`,
-    /// returning a typed error for an out-of-range index or an
-    /// already-taken stream.
+    /// `ss.Streamable(i)`), returning a typed error for an out-of-range
+    /// index or an already-taken stream.
     pub fn take_stream(&mut self, i: usize) -> Result<Streamable<Q>, StreamError> {
         let slot = self.streams.get_mut(i).ok_or_else(|| {
             StreamError::InvalidConfig(format!(
@@ -246,6 +263,13 @@ impl<Q: Payload> Streamables<Q> {
     /// Routing statistics (completeness per stream).
     pub fn stats(&self) -> FrameworkStats {
         self.stats.clone()
+    }
+
+    /// The checkpoint context of a durable build (`None` otherwise). Query
+    /// [`CheckpointCtx::recovery`] after subscribing the outputs to learn
+    /// the ingest replay offset.
+    pub fn checkpoint(&self) -> Option<&CheckpointCtx> {
+        self.ckpt.as_ref()
     }
 }
 
@@ -395,183 +419,65 @@ impl<P: Payload> Observer<P> for Partitioner<P> {
     }
 }
 
-/// Builds the advanced Impatience framework over `ds` (Fig 6(b)).
+/// Builds the Impatience framework over `ds` in `env` (Fig 6).
 ///
 /// `piq` is instantiated once per partition on the partition's *sorted*
 /// stream; `merge` once per union output. For correct results the pair
 /// must satisfy the usual partial-aggregation law (e.g. per-window partial
-/// counts + addition). Returns the `k` output streams.
-pub fn to_streamables_advanced<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-) -> Result<Streamables<Q>, StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
-    to_streamables_advanced_metered(ds, latencies, piq, merge, meter, None)
-}
-
-/// [`to_streamables_advanced`] with optional pipeline-wide instrumentation.
+/// counts + addition); identity PIQ and merge give the basic framework.
+/// Returns the `k` output streams.
 ///
-/// With a registry, the framework publishes:
+/// With `env.registry`, the framework publishes:
 ///
-/// * `framework.partition{i:02}.routed` / `framework.dropped` — the
-///   Table-II routing split (completeness of stream `i` is
-///   `routed(0..=i) / total`);
+/// * `framework.partition{i:02}.routed` / `framework.dropped` /
+///   `framework.dead_lettered` — the Table-II routing split (completeness
+///   of stream `i` is `routed(0..=i) / total`);
 /// * `framework.partition{i:02}.latency_ticks` — the reorder latency `lᵢ`
 ///   each partition promises;
 /// * per-operator metrics and sorter gauges for every partition pipeline,
-///   under `partition{i:02}.*` prefixes (see
-///   [`Streamable::instrument`]).
-pub fn to_streamables_advanced_metered<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-) -> Result<Streamables<Q>, StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
-    to_streamables_advanced_with(
-        ds,
-        latencies,
-        piq,
-        merge,
-        meter,
-        registry,
-        FrameworkPolicy::default(),
-    )
-}
-
-/// [`to_streamables_advanced_metered`] with an explicit failure-model
-/// policy: late-event routing at the partitioner and shed/dead-letter
-/// behaviour for every partition sorter (see [`FrameworkPolicy`]).
-pub fn to_streamables_advanced_with<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-) -> Result<Streamables<Q>, StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
-    let (ss, _ctx) = build_advanced(
-        ds, latencies, piq, merge, meter, registry, policy, None, None,
-    )?;
-    Ok(ss)
-}
-
-/// [`to_streamables_advanced_with`] plus structured tracing: every
-/// partition pipeline records spans into `trace` under a
+///   under `partition{i:02}.*` prefixes (see [`Streamable::instrument`]);
+/// * `framework.checkpoint.*` / `framework.recovery.*` when durable.
+///
+/// With `env.trace`, every partition pipeline records spans under a
 /// `partition{i:02}` label prefix on trace lane `i`, so an exported trace
 /// shows one track per latency partition — the Table-II
 /// latency/completeness ladder, rendered. Sampled provenance probes can be
 /// layered on through `piq` (the closure receives the partition's sorted
 /// stream, which already carries the trace context).
-#[allow(clippy::too_many_arguments)]
-pub fn to_streamables_advanced_traced<P, Q>(
+///
+/// With `env.checkpoint = (dir, n)`, the whole ladder — partitioner
+/// watermark clock, every partition sorter, every PIQ and merge operator,
+/// and the union synchronization buffers — checkpoints into `dir` after
+/// every `n` input punctuations, and restores from the newest valid
+/// checkpoint when built over a non-empty `dir`; see
+/// [`Streamables::checkpoint`]. Output streams carry the context, so a
+/// [`Streamable::checkpoint_egress`] stage on them feeds the committed
+/// output prefix. Subscribe all outputs before feeding input: traffic
+/// buffered in an unsubscribed output relay is not part of any operator's
+/// checkpointed state.
+pub fn to_streamables<P, Q>(
     ds: DisorderedStreamable<P>,
     latencies: &[TickDuration],
     piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
     merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-    trace: &TraceSink,
+    env: &FrameworkEnv<P>,
 ) -> Result<Streamables<Q>, StreamError>
 where
     P: Payload,
     Q: Payload,
 {
-    let (ss, _ctx) = build_advanced(
-        ds,
-        latencies,
-        piq,
-        merge,
-        meter,
-        registry,
-        policy,
-        None,
-        Some(trace),
-    )?;
-    Ok(ss)
-}
-
-/// [`to_streamables_advanced_with`] made durable: the whole ladder —
-/// partitioner watermark clock, every partition sorter, every PIQ and
-/// merge operator, and the union synchronization buffers — checkpoints
-/// into `dir` after every `every_n_punctuations` input punctuations, and
-/// restores from the newest valid checkpoint when the framework is built
-/// over a non-empty `dir`.
-///
-/// Returns the output streams plus the [`CheckpointCtx`]; query
-/// [`CheckpointCtx::recovery`] after subscribing the outputs to learn the
-/// ingest replay offset. Output streams carry the context, so a
-/// [`Streamable::checkpoint_egress`] stage on them feeds the committed
-/// output prefix. Subscribe all outputs before feeding input: traffic
-/// buffered in an unsubscribed output relay is not part of any operator's
-/// checkpointed state.
-#[allow(clippy::too_many_arguments)]
-pub fn to_streamables_advanced_durable<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-    dir: impl Into<PathBuf>,
-    every_n_punctuations: u32,
-) -> Result<(Streamables<Q>, CheckpointCtx), StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
-    let checkpointer = Checkpointer::open(dir).map_err(|e| StreamError::RecoveryFailed {
-        detail: e.to_string(),
-    })?;
-    let (ss, ctx) = build_advanced(
-        ds,
-        latencies,
-        piq,
-        merge,
-        meter,
-        registry,
-        policy,
-        Some((checkpointer, every_n_punctuations)),
-        None,
-    )?;
-    Ok((ss, ctx.expect("durable build returns a context")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_advanced<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-    durable: Option<(Checkpointer, u32)>,
-    trace: Option<&TraceSink>,
-) -> Result<(Streamables<Q>, Option<CheckpointCtx>), StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
     validate_latencies(latencies)?;
+    let durable = match &env.checkpoint {
+        Some((dir, every_n)) => Some((
+            Checkpointer::open(dir).map_err(|e| StreamError::RecoveryFailed {
+                detail: e.to_string(),
+            })?,
+            *every_n,
+        )),
+        None => None,
+    };
+    let meter = &env.meter;
+    let registry = env.registry.as_ref();
     let ctx = durable.as_ref().map(|_| CheckpointCtx::new());
     if let (Some(c), Some(r)) = (&ctx, registry) {
         c.bind_metrics(r, "framework");
@@ -641,7 +547,7 @@ where
     for (i, sink) in sinks.into_iter().enumerate() {
         let (ph, ps) = input_stream::<P>();
         part_handles.push(ph);
-        let ps = match trace {
+        let ps = match &env.trace {
             // Lane i mirrors the Table-II partition index; the prefix tags
             // every span this partition's sort/PIQ stages record.
             Some(sink) => ps.traced(
@@ -665,8 +571,8 @@ where
         // shed/dead-letter behaviour follows the framework policy.
         let sort_policy = SortPolicy {
             late: LatePolicy::Drop,
-            shed: policy.shed,
-            dead_letters: policy.dead_letters.clone(),
+            shed: env.shed,
+            dead_letters: env.dead_letters.clone(),
         };
         piq(ps.sorted(Box::new(sorter), meter, sort_policy)?).subscribe_observer(sink);
     }
@@ -682,8 +588,8 @@ where
         wm: Timestamp::MIN,
         last_punct: vec![Timestamp::MIN; k],
         stats: stats.clone(),
-        late: policy.late,
-        dead_letters: policy.dead_letters,
+        late: env.late,
+        dead_letters: env.dead_letters.clone(),
     };
     let source_sink: Box<dyn Observer<P>> = match (&ctx, durable) {
         (Some(c), Some((checkpointer, every_n))) => {
@@ -700,18 +606,62 @@ where
     };
     (ds.into_connector())(source_sink);
 
-    Ok((
-        Streamables {
-            streams: out_streams,
-            latencies: latencies.to_vec(),
-            stats,
-        },
-        ctx,
-    ))
+    Ok(Streamables {
+        streams: out_streams,
+        latencies: latencies.to_vec(),
+        stats,
+        ckpt: ctx,
+    })
 }
 
-/// Builds the basic Impatience framework (Fig 6(a)): identity PIQ and
-/// merge, so raw events flow through the sort/union chain and the user
+/// The advanced framework (Fig 6(b)): [`to_streamables`] with user PIQ
+/// and merge functions, charging state to `meter`. Every input event is
+/// evaluated exactly once, and unions buffer only small intermediate
+/// results.
+pub fn to_streamables_advanced<P, Q>(
+    ds: DisorderedStreamable<P>,
+    latencies: &[TickDuration],
+    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
+    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
+    meter: &MemoryMeter,
+) -> Result<Streamables<Q>, StreamError>
+where
+    P: Payload,
+    Q: Payload,
+{
+    to_streamables(
+        ds,
+        latencies,
+        piq,
+        merge,
+        &FrameworkEnv::new().with_meter(meter),
+    )
+}
+
+/// [`to_streamables_advanced`] publishing into `registry` when given one
+/// (see [`to_streamables`] for the instruments).
+pub fn to_streamables_advanced_metered<P, Q>(
+    ds: DisorderedStreamable<P>,
+    latencies: &[TickDuration],
+    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
+    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
+    meter: &MemoryMeter,
+    registry: Option<&MetricsRegistry>,
+) -> Result<Streamables<Q>, StreamError>
+where
+    P: Payload,
+    Q: Payload,
+{
+    let env = FrameworkEnv {
+        meter: meter.clone(),
+        registry: registry.cloned(),
+        ..FrameworkEnv::new()
+    };
+    to_streamables(ds, latencies, piq, merge, &env)
+}
+
+/// The basic framework (Fig 6(a)): [`to_streamables`] with identity PIQ
+/// and merge, so raw events flow through the sort/union chain and the user
 /// runs their query per output stream — with the redundant-computation and
 /// raw-event-buffering costs the advanced framework removes.
 pub fn to_streamables_basic<P: Payload>(
@@ -720,53 +670,6 @@ pub fn to_streamables_basic<P: Payload>(
     meter: &MemoryMeter,
 ) -> Result<Streamables<P>, StreamError> {
     to_streamables_advanced(ds, latencies, |s| s, |s| s, meter)
-}
-
-/// [`to_streamables_basic`] with optional pipeline-wide instrumentation —
-/// see [`to_streamables_advanced_metered`] for the published metrics.
-pub fn to_streamables_basic_metered<P: Payload>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-) -> Result<Streamables<P>, StreamError> {
-    to_streamables_advanced_metered(ds, latencies, |s| s, |s| s, meter, registry)
-}
-
-/// [`to_streamables_basic_metered`] with an explicit failure-model policy —
-/// see [`FrameworkPolicy`].
-pub fn to_streamables_basic_with<P: Payload>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-) -> Result<Streamables<P>, StreamError> {
-    to_streamables_advanced_with(ds, latencies, |s| s, |s| s, meter, registry, policy)
-}
-
-/// [`to_streamables_basic_with`] made durable — see
-/// [`to_streamables_advanced_durable`].
-pub fn to_streamables_basic_durable<P: Payload>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-    dir: impl Into<PathBuf>,
-    every_n_punctuations: u32,
-) -> Result<(Streamables<P>, CheckpointCtx), StreamError> {
-    to_streamables_advanced_durable(
-        ds,
-        latencies,
-        |s| s,
-        |s| s,
-        meter,
-        registry,
-        policy,
-        dir,
-        every_n_punctuations,
-    )
 }
 
 #[cfg(test)]
@@ -930,18 +833,14 @@ mod tests {
     fn traced_framework_tags_spans_per_partition() {
         use impatience_core::trace::{TraceClock, TraceConfig};
         let sink = TraceSink::with(TraceClock::logical(), TraceConfig::default());
-        let meter = MemoryMeter::new();
         let window = TickDuration::ticks(20);
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy()).tumbling_window(window);
-        let mut ss = to_streamables_advanced_traced(
+        let mut ss = to_streamables(
             ds,
             &latencies(),
             |s: Streamable<u32>| s.count(),
             |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-            &meter,
-            None,
-            FrameworkPolicy::default(),
-            &sink,
+            &FrameworkEnv::new().with_trace(&sink),
         )
         .unwrap();
         let outs: Vec<_> = (0..3)
@@ -1087,10 +986,9 @@ mod tests {
     #[test]
     fn metered_framework_publishes_table_ii_metrics() {
         let registry = MetricsRegistry::new();
-        let meter = MemoryMeter::new();
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy());
-        let mut ss =
-            to_streamables_basic_metered(ds, &latencies(), &meter, Some(&registry)).unwrap();
+        let env = FrameworkEnv::new().with_registry(&registry);
+        let mut ss = to_streamables(ds, &latencies(), |s| s, |s| s, &env).unwrap();
         let _outs: Vec<_> = (0..3)
             .map(|i| {
                 ss.take_stream(i)
@@ -1137,13 +1035,9 @@ mod tests {
 
     #[test]
     fn drop_policy_discards_events_that_miss_the_fastest_partition() {
-        let meter = MemoryMeter::new();
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy());
-        let fp = FrameworkPolicy {
-            late: impatience_core::LatePolicy::Drop,
-            ..FrameworkPolicy::default()
-        };
-        let mut ss = to_streamables_basic_with(ds, &latencies(), &meter, None, fp).unwrap();
+        let env = FrameworkEnv::new().with_late(LatePolicy::Drop);
+        let mut ss = to_streamables(ds, &latencies(), |s| s, |s| s, &env).unwrap();
         let outs: Vec<_> = (0..3)
             .map(|i| {
                 ss.take_stream(i)
@@ -1167,18 +1061,15 @@ mod tests {
 
     #[test]
     fn dead_letter_policy_diverts_and_accounts() {
-        let meter = MemoryMeter::new();
-        let dlq = impatience_core::DeadLetterQueue::new();
+        let dlq = DeadLetterQueue::new();
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy());
-        let fp = FrameworkPolicy {
-            late: impatience_core::LatePolicy::DeadLetter,
-            dead_letters: Some(dlq.clone()),
-            ..FrameworkPolicy::default()
-        };
+        let env = FrameworkEnv::new()
+            .with_late(LatePolicy::DeadLetter)
+            .with_dead_letters(&dlq);
         // Max latency 30, so the delay-35 event has no partition at all —
         // it is dead-lettered too, not silently dropped.
         let ls = vec![TickDuration::ticks(10), TickDuration::ticks(30)];
-        let mut ss = to_streamables_basic_with(ds, &ls, &meter, None, fp).unwrap();
+        let mut ss = to_streamables(ds, &ls, |s| s, |s| s, &env).unwrap();
         let _outs: Vec<_> = (0..2)
             .map(|i| {
                 ss.take_stream(i)
@@ -1195,20 +1086,17 @@ mod tests {
         let letters = dlq.drain();
         assert!(letters
             .iter()
-            .all(|l| matches!(l.reason, impatience_core::DeadLetterReason::Late { .. })));
+            .all(|l| matches!(l.reason, DeadLetterReason::Late { .. })));
     }
 
     #[test]
     fn dead_lettered_registry_counter_is_published() {
         let registry = MetricsRegistry::new();
-        let meter = MemoryMeter::new();
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy());
-        let fp = FrameworkPolicy {
-            late: impatience_core::LatePolicy::DeadLetter,
-            ..FrameworkPolicy::default()
-        };
-        let mut ss =
-            to_streamables_basic_with(ds, &latencies(), &meter, Some(&registry), fp).unwrap();
+        let env = FrameworkEnv::new()
+            .with_registry(&registry)
+            .with_late(LatePolicy::DeadLetter);
+        let mut ss = to_streamables(ds, &latencies(), |s| s, |s| s, &env).unwrap();
         let _outs: Vec<_> = (0..3)
             .map(|i| {
                 ss.take_stream(i)
@@ -1222,7 +1110,7 @@ mod tests {
     }
 
     #[test]
-    fn try_stream_returns_typed_errors() {
+    fn take_stream_returns_typed_errors() {
         let meter = MemoryMeter::new();
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy());
         let mut ss = to_streamables_basic(ds, &[TickDuration::ticks(10)], &meter).unwrap();
@@ -1271,12 +1159,11 @@ mod tests {
         impatience_engine::CheckpointCtx,
         Vec<impatience_engine::Output<u32>>,
     ) {
-        let meter = MemoryMeter::new();
         let ls = vec![TickDuration::ticks(10), TickDuration::ticks(30)];
         let (h, ds) = DisorderedStreamable::live();
-        let (mut ss, ctx) =
-            to_streamables_basic_durable(ds, &ls, &meter, None, FrameworkPolicy::default(), dir, 1)
-                .unwrap();
+        let env = FrameworkEnv::new().with_checkpoint(dir, 1);
+        let mut ss = to_streamables(ds, &ls, |s| s, |s| s, &env).unwrap();
+        let ctx = ss.checkpoint().expect("durable build").clone();
         let outs: Vec<_> = (0..2)
             .map(|i| {
                 ss.take_stream(i)

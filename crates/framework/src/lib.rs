@@ -7,11 +7,14 @@
 //!   operators (selection, projection, windowing) run *below* the sorting
 //!   operator, then `to_streamable()` sorts once, as late and as cheaply
 //!   as possible;
-//! * [`to_streamables_basic`] / [`to_streamables_advanced`] — the
-//!   **Impatience framework**: a set of reorder latencies yields a set of
-//!   output streams trading latency against completeness, with the
-//!   advanced form embedding user PIQ/merge functions for single-pass
-//!   evaluation and tiny union buffers.
+//! * [`to_streamables`] — the **Impatience framework**: a set of reorder
+//!   latencies yields a set of output streams trading latency against
+//!   completeness. The advanced form ([`to_streamables_advanced`]) embeds
+//!   user PIQ/merge functions for single-pass evaluation and tiny union
+//!   buffers; the basic form ([`to_streamables_basic`]) runs the user's
+//!   query per output. A [`FrameworkEnv`] carries everything else a build
+//!   takes: memory account, metrics registry, late/shed/dead-letter
+//!   policy, trace sink, and checkpoint directory and cadence.
 //!
 //! ```
 //! use impatience_core::{Event, MemoryMeter, TickDuration, Timestamp};
@@ -45,15 +48,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod disordered;
-pub mod framework;
-pub mod plumbing;
+mod disordered;
+mod framework;
+mod plumbing;
 
 pub use disordered::DisorderedStreamable;
 pub use framework::{
-    to_streamables_advanced, to_streamables_advanced_durable, to_streamables_advanced_metered,
-    to_streamables_advanced_traced, to_streamables_advanced_with, to_streamables_basic,
-    to_streamables_basic_durable, to_streamables_basic_metered, to_streamables_basic_with,
-    FrameworkPolicy, FrameworkStats, Streamables,
+    to_streamables, to_streamables_advanced, to_streamables_advanced_metered, to_streamables_basic,
+    FrameworkEnv, FrameworkStats, Streamables,
 };
 pub use plumbing::{HandleSink, TeeOp};

@@ -14,7 +14,7 @@
 //! punctuations: after each ingested batch it punctuates at
 //! `watermark − l(t)` where `l(t)` is either the spec's fixed reorder
 //! latency or the live choice of an
-//! [`AdaptiveLatency`](impatience_disorder::AdaptiveLatency) controller
+//! [`AdaptiveLatency`] controller
 //! fed every arrival (§III of the paper, made a service property). The
 //! chosen latency, rung, windowed completeness, and switch count are
 //! published as `serve.adaptive.*` gauges in the tenant's registry.

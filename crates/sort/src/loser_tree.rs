@@ -1,13 +1,14 @@
 //! Streaming k-way loser-tree merge over fallible sources.
 //!
-//! [`crate::merge::LoserTree`] merges in-memory slices and cannot fail.
-//! The external sorter ([`crate::external`]) merges a mix of in-memory head
-//! runs and on-disk run files whose readers do I/O and verify checksums, so
-//! every pull can fail with a typed [`StreamError`]. [`StreamingLoserTree`]
-//! is the loser tree rebuilt over that pull model: `k` sources are merged
+//! This is the crate's one k-way merge. The external sorter
+//! ([`crate::external`]) merges a mix of in-memory head runs and on-disk
+//! run files whose readers do I/O and verify checksums, so every pull can
+//! fail with a typed [`StreamError`]; in-memory runs
+//! ([`MergePolicy::LoserTree`](crate::MergePolicy::LoserTree)) enter as
+//! infallible [`VecSource`]s. [`StreamingLoserTree`] merges `k` sources
 //! with `⌈log₂ k⌉` comparisons per emitted item, errors propagate out of
-//! [`pop`](StreamingLoserTree::pop) instead of aborting, and ties are broken
-//! by source index so the merge is deterministic and stable toward
+//! [`pop`](StreamingLoserTree::pop) instead of aborting, and ties are
+//! broken by source index so the merge is deterministic and stable toward
 //! earlier sources.
 
 use impatience_core::StreamError;

@@ -13,7 +13,8 @@
 //!   Chandramouli & Goldstein's SIGMOD 2014 paper showed binary merges win
 //!   on modern CPUs.
 
-use impatience_core::{EventTimed, Timestamp};
+use crate::loser_tree::{merge_sources, VecSource};
+use impatience_core::EventTimed;
 use std::collections::BinaryHeap;
 
 /// Strategy for merging a set of sorted runs.
@@ -77,7 +78,7 @@ const MIN_GALLOP: usize = 7;
 /// Merges two sorted slices, appending to `out`. Ties favour `a`.
 ///
 /// Adaptive, timsort-style: a tight element-wise loop handles finely
-/// interleaved data; after [`MIN_GALLOP`] consecutive wins by one side it
+/// interleaved data; after `MIN_GALLOP` consecutive wins by one side it
 /// switches to exponential search + bulk `extend_from_slice`, so runs with
 /// long winning stretches merge at memcpy speed.
 pub fn merge_into<T: EventTimed + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {
@@ -262,136 +263,15 @@ fn huffman_merge<T: EventTimed + Clone>(runs: Vec<Vec<T>>) -> Vec<T> {
     heap.pop().map(|e| e.run).unwrap_or_default()
 }
 
-/// A loser-tree (tournament) k-way merge.
+/// A loser-tree (tournament) k-way merge: the in-memory runs feed a
+/// [`StreamingLoserTree`](crate::StreamingLoserTree) as [`VecSource`]s.
 ///
-/// Keeps `k-1` internal "loser" nodes; each output element costs exactly
-/// `⌈log₂ k⌉` comparisons along the path to the root — the structure
-/// traditional Patience sort used for its merge phase.
+/// Each output element costs `⌈log₂ k⌉` comparisons along the path to the
+/// root — the structure traditional Patience sort used for its merge
+/// phase. Ties go to the lower run index, so the merge is stable.
 pub fn loser_tree_merge<T: EventTimed + Clone>(runs: Vec<Vec<T>>) -> Vec<T> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut tree = LoserTree::new(runs);
-    while let Some(x) = tree.pop() {
-        out.push(x);
-    }
-    out
-}
-
-/// Streaming loser tree over a set of sorted runs.
-pub struct LoserTree<T> {
-    /// Input runs; cursors index into them.
-    runs: Vec<Vec<T>>,
-    cursors: Vec<usize>,
-    /// Internal nodes: the *loser* run index at each node; `tree[0]` holds
-    /// the overall winner.
-    tree: Vec<usize>,
-    k: usize,
-    exhausted: bool,
-}
-
-impl<T: EventTimed> LoserTree<T> {
-    /// Builds a loser tree over `runs` (each individually sorted).
-    pub fn new(runs: Vec<Vec<T>>) -> Self {
-        let runs: Vec<Vec<T>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-        let k = runs.len().max(1);
-        let mut lt = LoserTree {
-            cursors: vec![0; runs.len()],
-            runs,
-            tree: vec![usize::MAX; k],
-            k,
-            exhausted: false,
-        };
-        if lt.runs.is_empty() {
-            lt.exhausted = true;
-        } else {
-            lt.rebuild();
-        }
-        lt
-    }
-
-    /// Current key of run `i`, or `None` when exhausted. Exhausted runs
-    /// compare as `+∞` so they sink in the tree.
-    #[inline]
-    fn key(&self, i: usize) -> Option<Timestamp> {
-        self.runs
-            .get(i)
-            .and_then(|r| r.get(self.cursors[i]))
-            .map(|x| x.event_time())
-    }
-
-    #[inline]
-    fn beats(&self, a: usize, b: usize) -> bool {
-        // Does run `a` beat run `b`? Exhausted runs lose; ties break on
-        // lower run index for determinism.
-        match (self.key(a), self.key(b)) {
-            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
-        }
-    }
-
-    /// Rebuilds the tree from scratch (`O(k log k)`), used at construction.
-    fn rebuild(&mut self) {
-        for node in self.tree.iter_mut() {
-            *node = usize::MAX;
-        }
-        for i in 0..self.runs.len() {
-            self.replay(i);
-        }
-    }
-
-    /// Replays run `i` up the tree, recording losers.
-    fn replay(&mut self, mut winner: usize) {
-        let mut node = (winner + self.k) / 2;
-        while node > 0 {
-            let loser = self.tree[node];
-            if loser != usize::MAX && self.beats(loser, winner) {
-                self.tree[node] = winner;
-                winner = loser;
-            } else if loser == usize::MAX {
-                // Empty slot during initial build: park here and stop.
-                self.tree[node] = winner;
-                return;
-            }
-            node /= 2;
-        }
-        self.tree[0] = winner;
-    }
-
-    /// Pops the overall minimum element, or `None` when all runs are done.
-    pub fn pop(&mut self) -> Option<T>
-    where
-        T: Clone,
-    {
-        if self.exhausted {
-            return None;
-        }
-        let w = self.tree[0];
-        self.key(w)?;
-        let item = self.runs[w][self.cursors[w]].clone();
-        self.cursors[w] += 1;
-        self.replay_from_leaf(w);
-        Some(item)
-    }
-
-    /// After advancing leaf `w`, replay it against stored losers to find
-    /// the new winner.
-    fn replay_from_leaf(&mut self, mut winner: usize) {
-        let mut node = (winner + self.k) / 2;
-        while node > 0 {
-            let contender = self.tree[node];
-            if contender != usize::MAX && self.beats(contender, winner) {
-                self.tree[node] = winner;
-                winner = contender;
-            }
-            node /= 2;
-        }
-        self.tree[0] = winner;
-        if self.key(winner).is_none() {
-            self.exhausted = true;
-        }
-    }
+    let sources = runs.into_iter().map(VecSource::new).collect();
+    merge_sources(sources, |x: &T| x.event_time()).expect("in-memory sources cannot fail")
 }
 
 #[cfg(test)]
@@ -486,17 +366,6 @@ mod tests {
         let mut expect: Vec<i64> = runs.iter().flatten().copied().collect();
         expect.sort_unstable();
         assert_eq!(loser_tree_merge(runs), expect);
-    }
-
-    #[test]
-    fn loser_tree_streaming_api() {
-        let mut lt = LoserTree::new(vec![vec![2i64, 4], vec![1, 3, 5]]);
-        let mut got = Vec::new();
-        while let Some(x) = lt.pop() {
-            got.push(x);
-        }
-        assert_eq!(got, vec![1, 2, 3, 4, 5]);
-        assert!(lt.pop().is_none(), "stays exhausted");
     }
 
     #[test]

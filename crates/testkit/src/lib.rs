@@ -14,7 +14,7 @@
 //!   ([`prop::vec`], integer ranges, tuples, [`prop::Strategy::prop_map`]),
 //!   a case runner with greedy input shrinking, and fixed-seed replay via
 //!   `IMPATIENCE_PROP_SEED`;
-//! * [`bench`] — a wall-clock micro-benchmark timer (warmup + N iterations,
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark timer (warmup + N iterations,
 //!   median / p95 / min) replacing the `criterion` dependency;
 //! * [`chaos`] — a seeded fault-injecting observer (duplicates, late
 //!   stragglers, punctuation regressions, payload corruption, injected

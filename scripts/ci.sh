@@ -13,6 +13,11 @@ cargo fmt --check
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets --offline -- -D warnings
 
+echo "== cargo doc (warnings are errors) =="
+# Every intra-doc link must resolve, so a deleted or renamed item cannot
+# leave a dangling reference in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 

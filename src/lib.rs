@@ -47,8 +47,8 @@ pub use impatience_workloads as workloads;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use impatience_core::{
-        ColumnarBatch, EvalPayload, Event, EventBatch, IngressStats, Json, MemoryMeter,
-        MetricsRegistry, MetricsSnapshot, Payload, StreamMessage, TickDuration, Timestamp,
+        EvalPayload, Event, EventBatch, IngressStats, Json, MemoryMeter, MetricsRegistry,
+        MetricsSnapshot, Payload, StreamMessage, TickDuration, Timestamp,
     };
     pub use impatience_disorder::DisorderReport;
     pub use impatience_engine::ops::{CountAgg, MaxAgg, MeanAgg, MinAgg, SumAgg};
